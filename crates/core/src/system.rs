@@ -206,16 +206,6 @@ impl DeepWebSystem {
         req.run(&self.index)
     }
 
-    /// Serve with explicit options (annotation ablations).
-    #[deprecated(
-        since = "0.1.0",
-        note = "build a `SearchRequest` and call \
-        `search_request`, or use `index.searcher(opts)` for a fixed-option tier"
-    )]
-    pub fn search_with(&self, query: &str, k: usize, opts: SearchOptions) -> Vec<Hit> {
-        self.index.searcher(opts).search(query, k)
-    }
-
     /// A concurrent serving broker over this system's index and options,
     /// fanning out across `workers` pool threads (DESIGN.md §9).
     /// `workers = 0` means auto: size the pool to the machine.

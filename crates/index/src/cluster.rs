@@ -1,5 +1,5 @@
-//! Cluster-scale serving tier (DESIGN.md §13): a [`ClusterServer`] fans
-//! queries across doc-range [`IndexPartition`]s, routes them over a replica
+//! Cluster-scale serving tier (DESIGN.md §13): a [`ClusterServer`] scores
+//! queries over doc-range [`IndexPartition`]s, routes them over a replica
 //! group with deterministic admission control, and fronts the whole thing
 //! with a signature-keyed [`ResultCache`] — the paper's ">1000 queries per
 //! second for millions of users" serving shape (§3.2), still built
@@ -11,12 +11,20 @@
 //!   distinct terms to the [`TermId`] signature a single time; partitions,
 //!   the replica router, and the cache all consume that signature. No layer
 //!   re-tokenises.
-//! - **Partitions are exact.** Each partition scores its doc range with the
-//!   shared kernel over *global* statistics and returns an exact local
-//!   top-k; the aggregator concatenates partition lists, sorts under the one
-//!   strict total order (score desc, doc id asc) and truncates to k. Every
-//!   global top-k doc is its partition's local top-≤k, so the merge is
-//!   byte-identical to sequential [`search`] — at any partition count.
+//! - **Partitions are exact.** Each partition's doc range is scored by the
+//!   shared range kernel over *global* statistics into an exact local top-k;
+//!   the aggregator merges the lists under the one strict total order (score
+//!   desc, doc id asc) and truncates to k. Every global top-k doc is its
+//!   partition's local top-≤k, so the merge is byte-identical to sequential
+//!   [`search`] — at any partition count.
+//! - **Single queries scan partitions inline.** One query scores its
+//!   partitions in order on the caller's scratch, exactly as each batch
+//!   worker does. A per-query thread fan-out cost far more than the
+//!   partition scans it spread (DESIGN.md §13); the pool only sizes batch
+//!   serving.
+//! - **Every request counts.** Single and batched queries go through the
+//!   same admission pass, so one stream gives the same [`ClusterStats`]
+//!   whichever entry point served it — empty and `k = 0` requests included.
 //! - **Replicas are an accounting model.** In-process replicas share the one
 //!   immutable index, so routing cannot change results; what the replica
 //!   layer adds is the *deterministic* routing and admission stream: replica
@@ -37,7 +45,7 @@
 use crate::cache::{CacheConfig, CacheStats, ResultCache};
 use crate::index::SearchIndex;
 use crate::partition::IndexPartition;
-use crate::searcher::{hit_order, with_thread_scratch, Hit, QueryScratch, SearchOptions};
+use crate::searcher::{merge_topk, with_thread_scratch, Hit, QueryScratch, SearchOptions, View};
 use deepweb_common::fxhash::fxhash64;
 use deepweb_common::ids::TermId;
 use deepweb_common::ThreadPool;
@@ -50,7 +58,7 @@ pub struct ClusterConfig {
     pub partitions: usize,
     /// Replica groups for routing/admission accounting (clamped to ≥ 1).
     pub replicas: usize,
-    /// Worker threads for fan-out (0 = auto).
+    /// Worker threads for batch serving (0 = auto).
     pub workers: usize,
     /// Result cache; `None` serves every query through the kernel.
     pub cache: Option<CacheConfig>,
@@ -102,7 +110,7 @@ impl ClusterConfigBuilder {
         self
     }
 
-    /// Worker threads for fan-out (0 = auto).
+    /// Worker threads for batch serving (0 = auto).
     pub fn workers(mut self, workers: usize) -> Self {
         self.cfg.workers = workers;
         self
@@ -164,7 +172,7 @@ impl ClusterConfigBuilder {
 }
 
 /// Snapshot of a cluster's serving counters.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ClusterStats {
     /// Queries served (single + batched).
     pub queries: u64,
@@ -246,83 +254,59 @@ impl<'a> ClusterServer<'a> {
         (fxhash64(sig) % self.replicas as u64) as usize
     }
 
-    /// Serve one query: resolve once, check the cache, fan the signature out
-    /// across all partitions in parallel, merge. Byte-identical to
-    /// sequential [`search`] at any configuration.
+    /// Serve one query: resolve once, admit, then the shared per-query
+    /// routine on this thread's scratch. Byte-identical to sequential
+    /// [`search`] at any configuration.
     ///
     /// [`search`]: crate::searcher::search
     pub fn search(&self, query: &str, k: usize) -> Vec<Hit> {
+        let view = View::new(self.index, None);
         with_thread_scratch(|scratch| {
-            scratch.analyze(query);
-            if scratch.terms().is_empty() || k == 0 {
-                return Vec::new();
-            }
-            scratch.resolve(self.index.postings());
-            self.queries.fetch_add(1, Ordering::Relaxed);
-            let sig = scratch.resolved_sig();
-            self.routed[self.route(sig)].fetch_add(1, Ordering::Relaxed);
-            self.serve_fanout(sig, k)
+            view.with_sig(query, scratch, |sig, s| {
+                self.admit(std::iter::once(sig));
+                self.serve_sig(sig, k, s)
+            })
         })
     }
 
-    /// Fan one resolved signature across every partition (each on its own
-    /// pooled scratch), merge exact local top-k lists, and fill the cache.
-    fn serve_fanout(&self, sig: &[TermId], k: usize) -> Vec<Hit> {
-        if sig.is_empty() {
-            // All terms unknown: no postings anywhere, and the annotation
-            // pass only adjusts touched docs — the sequential reference
-            // returns nothing, so neither do we (and nothing is cached).
-            return Vec::new();
-        }
-        if let Some(cache) = &self.cache {
-            if let Some(hits) = cache.get(sig, k) {
-                return hits;
-            }
-        }
-        let lists = self.pool.map_indices(self.partitions.len(), |pi| {
-            let p = &self.partitions[pi];
-            p.with_pooled_scratch(|scratch| p.search_sig(self.index, sig, k, self.opts, scratch))
-        });
-        let hits = merge_partition_topk(lists, k);
-        if let Some(cache) = &self.cache {
-            cache.insert(sig.to_vec(), k, hits.clone());
-        }
-        hits
-    }
-
     /// Serve a batch: one sequential resolve/route/admission pass (the
-    /// deterministic part), then parallel execution with one scratch per
-    /// worker, each query scanning the partitions in order. Results come
-    /// back in batch order and are byte-identical to per-query sequential
-    /// [`search`] at any worker/partition/replica/cache configuration.
+    /// deterministic part), then parallel execution of the shared per-query
+    /// routine with one scratch per worker. Results come back in batch order
+    /// and are byte-identical to per-query sequential [`search`] at any
+    /// worker/partition/replica/cache configuration.
     ///
     /// [`search`]: crate::searcher::search
     pub fn search_batch(&self, queries: &[String], k: usize) -> Vec<Vec<Hit>> {
-        // Phase 1 — sequential, deterministic: signatures, routing,
-        // admission. The admission model treats the batch as one burst:
-        // replica in-flight counters only grow, a full routed replica spills
-        // deterministically to the next, and when all are full the query is
-        // shed (in batch order).
+        let view = View::new(self.index, None);
         let sigs: Vec<Vec<TermId>> = with_thread_scratch(|scratch| {
             queries
                 .iter()
-                .map(|q| {
-                    scratch.analyze(q);
-                    scratch.resolve(self.index.postings());
-                    scratch.resolved_sig().to_vec()
-                })
+                .map(|q| view.with_sig(q, scratch, |sig, _| sig.to_vec()))
                 .collect()
         });
+        self.admit(sigs.iter().map(Vec::as_slice));
+        // Shed queries are answered too: the results contract outranks the
+        // admission model (see module docs).
+        self.pool
+            .map_indices_init(queries.len(), QueryScratch::new, |scratch, qi| {
+                self.serve_sig(&sigs[qi], k, scratch)
+            })
+    }
+
+    /// Count one burst of requests, in order. The admission model treats the
+    /// burst as one: replica in-flight counters only grow, a full routed
+    /// replica spills deterministically to the next, and when all are full
+    /// the query is shed. A single query is a burst of one.
+    fn admit<'s>(&self, sigs: impl Iterator<Item = &'s [TermId]>) {
         let cap = if self.max_in_flight == 0 {
             u64::MAX
         } else {
             self.max_in_flight as u64
         };
         let mut in_flight = vec![0u64; self.replicas];
-        let mut routed = vec![0u64; self.replicas];
-        let mut spilled = 0u64;
-        let mut shed = 0u64;
-        for sig in &sigs {
+        let (mut queries, mut spilled, mut shed) = (0u64, 0u64, 0u64);
+        for sig in sigs {
+            queries += 1;
             let r0 = self.route(sig);
             match (0..self.replicas)
                 .map(|off| (r0 + off) % self.replicas)
@@ -330,46 +314,38 @@ impl<'a> ClusterServer<'a> {
             {
                 Some(r) => {
                     in_flight[r] += 1;
-                    routed[r] += 1;
-                    if r != r0 {
-                        spilled += 1;
-                    }
+                    spilled += u64::from(r != r0);
                 }
                 None => shed += 1,
             }
         }
-        self.queries
-            .fetch_add(queries.len() as u64, Ordering::Relaxed);
-        for (slot, n) in self.routed.iter().zip(routed) {
+        self.queries.fetch_add(queries, Ordering::Relaxed);
+        for (slot, n) in self.routed.iter().zip(in_flight) {
             slot.fetch_add(n, Ordering::Relaxed);
         }
         self.spilled.fetch_add(spilled, Ordering::Relaxed);
         self.shed.fetch_add(shed, Ordering::Relaxed);
+    }
 
-        // Phase 2 — parallel execution (shed queries included: the results
-        // contract outranks the admission model; see module docs).
-        self.pool
-            .map_indices_init(queries.len(), QueryScratch::new, |scratch, qi| {
-                let sig = &sigs[qi];
-                if sig.is_empty() || k == 0 {
-                    return Vec::new();
-                }
-                if let Some(cache) = &self.cache {
-                    if let Some(hits) = cache.get(sig, k) {
-                        return hits;
-                    }
-                }
-                let lists: Vec<Vec<Hit>> = self
-                    .partitions
-                    .iter()
-                    .map(|p| p.search_sig(self.index, sig, k, self.opts, scratch))
-                    .collect();
-                let hits = merge_partition_topk(lists, k);
-                if let Some(cache) = &self.cache {
-                    cache.insert(sig.clone(), k, hits.clone());
-                }
-                hits
-            })
+    /// The per-query routine both entry points share: cache get, each
+    /// partition's range through the kernel in order, merge, cache insert.
+    /// An empty signature (all terms unknown) or `k = 0` serves nothing and
+    /// caches nothing, like the sequential reference.
+    fn serve_sig(&self, sig: &[TermId], k: usize, scratch: &mut QueryScratch) -> Vec<Hit> {
+        if sig.is_empty() || k == 0 {
+            return Vec::new();
+        }
+        if let Some(hits) = self.cache.as_ref().and_then(|c| c.get(sig, k)) {
+            return hits;
+        }
+        let view = View::new(self.index, None);
+        let lists =
+            (self.partitions.iter()).map(|p| view.kernel(sig, k, self.opts, p.serve(), scratch));
+        let hits = merge_topk(lists, k);
+        if let Some(cache) = &self.cache {
+            cache.insert(sig.to_vec(), k, hits.clone());
+        }
+        hits
     }
 
     /// Cache counters, when a cache is configured.
@@ -395,23 +371,12 @@ impl<'a> ClusterServer<'a> {
     }
 }
 
-/// Merge exact per-partition top-k lists into the global top-k: concatenate,
-/// sort under the strict total order, truncate. Partition lists are disjoint
-/// (doc ranges don't overlap) and each contains its range's true top-≤k, so
-/// the global top-k is a subset of the concatenation and the strict order
-/// places it first — byte-identical to the sequential selection.
-fn merge_partition_topk(lists: Vec<Vec<Hit>>, k: usize) -> Vec<Hit> {
-    let mut all: Vec<Hit> = lists.concat();
-    all.sort_by(hit_order);
-    all.truncate(k);
-    all
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::docstore::DocKind;
     use crate::searcher::search;
+    use deepweb_common::ids::DocId;
     use deepweb_common::Url;
 
     fn build() -> SearchIndex {
@@ -547,5 +512,43 @@ mod tests {
         let cache = cluster.cache_stats().unwrap();
         assert_eq!(cache.hits, 2);
         assert_eq!(cache.misses, 1);
+    }
+
+    #[test]
+    fn top_k_ties_across_partitions_break_by_doc_id() {
+        // Two docs, one term each, identical tf and doc length: their BM25
+        // scores are exactly equal. Two partitions put them in different
+        // doc ranges, so the tie is settled by the partition merge, which
+        // must prefer the lower doc id at every k.
+        let mut idx = SearchIndex::new();
+        for (host, word) in [("a.sim", "alpha"), ("b.sim", "bravo")] {
+            idx.add(
+                Url::new(host, "/p"),
+                String::new(),
+                word.to_string(),
+                DocKind::Surface,
+                None,
+                vec![],
+            );
+        }
+        let cfg = ClusterConfig {
+            partitions: 2,
+            cache: None,
+            ..ClusterConfig::default()
+        };
+        let cluster = ClusterServer::new(&idx, SearchOptions::default(), cfg);
+        let ranges: Vec<_> = cluster.partitions().iter().map(|p| p.doc_range()).collect();
+        assert_eq!(ranges, [0..1, 1..2], "need a cross-partition pair");
+        let q = "alpha bravo";
+        let full = cluster.search(q, 10);
+        assert_eq!(full.len(), 2);
+        assert_eq!(full[0].score, full[1].score, "scores must tie exactly");
+        assert_eq!(full[0].doc, DocId(0), "tie breaks to the lower doc id");
+        // k=1 keeps the same winner: the heap eviction tie-break agrees
+        // with the merge's.
+        let top1 = cluster.search(q, 1);
+        assert_eq!(top1, vec![full[0]]);
+        assert_eq!(search(&idx, q, 1, SearchOptions::default()), top1);
+        assert_eq!(cluster.search_batch(&[q.to_string()], 1), vec![top1]);
     }
 }

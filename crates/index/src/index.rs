@@ -4,7 +4,7 @@
 
 use crate::analysis::{analyze, analyze_query};
 use crate::docstore::{Annotation, AnnotationIds, DocKind, DocStore, StoredDoc};
-use crate::postings::{Postings, ShardedPostings};
+use crate::postings::Postings;
 use crate::pruned::PruningIndex;
 use crate::searcher::SearchOptions;
 use deepweb_common::ids::{DocId, FacetKeyId, SiteId, TermId};
@@ -28,10 +28,8 @@ pub struct BatchDoc {
     pub annotations: Vec<Annotation>,
 }
 
-/// An in-memory search index. Postings are term-hash sharded
-/// ([`ShardedPostings`]) so the concurrent serving path can scatter query
-/// terms across shards; the shard count is a build-time layout choice that
-/// never changes ranking (DESIGN.md §9).
+/// An in-memory search index: one id-keyed [`Postings`], read by every
+/// serving tier through doc ranges (DESIGN.md §9).
 ///
 /// Annotations ride the same interned dictionary as body text (DESIGN.md
 /// §12): facet keys intern to [`FacetKeyId`]s, annotation values are
@@ -42,7 +40,7 @@ pub struct BatchDoc {
 #[derive(Default, Clone, Debug)]
 pub struct SearchIndex {
     docs: DocStore,
-    postings: ShardedPostings,
+    postings: Postings,
     by_url: FxHashMap<String, DocId>,
     /// Facet key text → [`FacetKeyId`], first-appearance order.
     facet_keys: TermDict,
@@ -55,19 +53,9 @@ pub struct SearchIndex {
 }
 
 impl SearchIndex {
-    /// Create an empty index with the default term-shard count.
+    /// Create an empty index.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Create an empty index with an explicit term-shard count (clamped to
-    /// ≥ 1). Ranking is shard-count independent; this only tunes how wide
-    /// the broker's scatter path can fan out.
-    pub fn with_shards(shards: usize) -> Self {
-        SearchIndex {
-            postings: ShardedPostings::new(shards),
-            ..Self::default()
-        }
     }
 
     /// Add a document. Returns the existing id if the URL was already
@@ -150,7 +138,7 @@ impl SearchIndex {
     /// The batch is deduplicated sequentially (URL identity, first occurrence
     /// wins), split into contiguous shards of fresh documents, analysed and
     /// indexed into per-shard postings in parallel, then merged in shard
-    /// order via [`ShardedPostings::absorb`] — so the resulting index is
+    /// order via [`Postings::absorb`] — so the resulting index is
     /// identical to the sequential loop for any worker count.
     pub fn add_batch(&mut self, pool: &ThreadPool, batch: Vec<BatchDoc>) -> Vec<DocId> {
         // 1. Sequential dedup + id assignment in batch order.
@@ -280,8 +268,8 @@ impl SearchIndex {
         self.docs.get(id)
     }
 
-    /// The term-hash sharded postings.
-    pub fn postings(&self) -> &ShardedPostings {
+    /// The postings.
+    pub fn postings(&self) -> &Postings {
         &self.postings
     }
 

@@ -3,27 +3,20 @@
 //!
 //! A partition is a contiguous doc-id range `[lo, hi)` over one shared,
 //! immutable [`SearchIndex`]. Splitting by *document* rather than by term
-//! (the split DESIGN.md §9 rejects for top-k pruning) keeps every per-doc
-//! score whole inside exactly one partition: each query term's posting list
-//! is sorted by doc id, so a partition binary-searches its sub-range and
-//! folds contributions in query-term order — the same floating-point
-//! sequence, over the same *global* BM25 statistics (N, df, avg doc length),
-//! as the sequential searcher. Per-partition top-k is therefore **exact**
-//! (never pruned), and the aggregator's merge of exact top-k lists under the
-//! strict score-desc/doc-id-asc order reproduces the global top-k
-//! byte-for-byte.
+//! keeps every per-doc score whole inside exactly one partition: each query
+//! term's posting list is sorted by doc id, so the range kernel
+//! binary-searches the partition's sub-range and folds contributions in
+//! query-term order — the same floating-point sequence, over the same
+//! *global* BM25 statistics (N, df, avg doc length), as the sequential
+//! searcher. Per-partition top-k is therefore **exact** (never pruned), and
+//! merging exact top-k lists under the strict score-desc/doc-id-asc order
+//! reproduces the global top-k byte-for-byte.
 //!
-//! Each partition owns its serving state: a pool of reusable
-//! [`QueryScratch`]es (the per-partition broker in miniature) and a served
-//! counter, so the aggregator can fan a query out without any cross-partition
-//! shared mutable state.
+//! A partition owns no scoring code and no scratch: the cluster scans its
+//! partitions in order on the caller's scratch. It only records its range
+//! and how many queries it scored.
 
 use crate::index::SearchIndex;
-use crate::searcher::{
-    accumulate_term_range, apply_annotations_sig, top_k_hits, Hit, QueryScratch, SearchOptions,
-};
-use deepweb_common::ids::TermId;
-use parking_lot::Mutex;
 use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -46,29 +39,15 @@ pub fn partition_ranges(num_docs: usize, parts: usize) -> Vec<(u32, u32)> {
 }
 
 /// One doc-range slice of the index: the unit the [`ClusterServer`]
-/// aggregator fans queries across.
+/// aggregator scans queries across.
 ///
 /// [`ClusterServer`]: crate::cluster::ClusterServer
+#[derive(Debug)]
 pub struct IndexPartition {
     ordinal: usize,
     lo: u32,
     hi: u32,
-    /// Recycled scratches for the parallel single-query fan-out, where
-    /// several partitions of the same query score concurrently. (Batch mode
-    /// reuses one worker scratch across a query's whole partition scan
-    /// instead — the scratch is fully reset between partitions either way.)
-    scratch: Mutex<Vec<QueryScratch>>,
     served: AtomicU64,
-}
-
-impl std::fmt::Debug for IndexPartition {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("IndexPartition")
-            .field("ordinal", &self.ordinal)
-            .field("doc_range", &self.doc_range())
-            .field("served", &self.served())
-            .finish()
-    }
 }
 
 impl IndexPartition {
@@ -81,7 +60,6 @@ impl IndexPartition {
                 ordinal,
                 lo,
                 hi,
-                scratch: Mutex::new(Vec::new()),
                 served: AtomicU64::new(0),
             })
             .collect()
@@ -107,59 +85,10 @@ impl IndexPartition {
         self.served.load(Ordering::Relaxed)
     }
 
-    /// Run `f` against a scratch from this partition's pool (allocating one
-    /// only when every pooled scratch is in use by a concurrent query).
-    pub(crate) fn with_pooled_scratch<R>(&self, f: impl FnOnce(&mut QueryScratch) -> R) -> R {
-        let mut scratch = self.scratch.lock().pop().unwrap_or_default();
-        let out = f(&mut scratch);
-        self.scratch.lock().push(scratch);
-        out
-    }
-
-    /// Score the resolved query signature against this partition's doc range
-    /// and return the partition-local top `k` — exact, because every touched
-    /// doc's score is complete (all of its postings for every query term lie
-    /// inside this range).
-    pub(crate) fn search_sig(
-        &self,
-        index: &SearchIndex,
-        sig: &[TermId],
-        k: usize,
-        opts: SearchOptions,
-        scratch: &mut QueryScratch,
-    ) -> Vec<Hit> {
+    /// Count one scored query and hand back the range to score it over.
+    pub(crate) fn serve(&self) -> (u32, u32) {
         self.served.fetch_add(1, Ordering::Relaxed);
-        if sig.is_empty() || k == 0 || self.lo == self.hi {
-            return Vec::new();
-        }
-        if opts.pruning == crate::searcher::PruningMode::BlockMax {
-            if let Some(pr) = index.pruning() {
-                // The pruned kernel intersects each term's block window with
-                // this partition's doc range; its local top-k is exact, so
-                // the aggregator merge is unchanged.
-                return crate::pruned::pruned_topk_range(
-                    index, pr, sig, k, opts, self.lo, self.hi, scratch,
-                );
-            }
-        }
-        let postings = index.postings();
-        let avg_len = postings.avg_doc_len().max(1.0);
-        scratch.prepare(postings.num_docs());
-        for &id in sig {
-            accumulate_term_range(
-                postings,
-                id,
-                opts.bm25,
-                avg_len,
-                self.lo,
-                self.hi,
-                |doc, c| scratch.add(doc, c),
-            );
-        }
-        if opts.use_annotations {
-            apply_annotations_sig(index, sig, scratch);
-        }
-        top_k_hits(scratch, k)
+        (self.lo, self.hi)
     }
 }
 
@@ -167,7 +96,7 @@ impl IndexPartition {
 mod tests {
     use super::*;
     use crate::docstore::DocKind;
-    use crate::searcher::search;
+    use crate::searcher::{merge_topk, search, QueryScratch, SearchOptions, View};
     use deepweb_common::Url;
 
     #[test]
@@ -221,18 +150,15 @@ mod tests {
         let k = 3;
         for parts in [1usize, 2, 3, 7] {
             let partitions = IndexPartition::layout(&idx, parts);
+            let view = View::new(&idx, None);
             for q in ["honda", "ford focus", "honda civic focus"] {
                 let global = search(&idx, q, k, opts);
-                let mut scratch = QueryScratch::new();
-                scratch.analyze(q);
-                scratch.resolve(idx.postings());
-                let sig = scratch.resolved_sig().to_vec();
-                let mut merged: Vec<Hit> = partitions
-                    .iter()
-                    .flat_map(|p| p.search_sig(&idx, &sig, k, opts, &mut scratch))
-                    .collect();
-                merged.sort_by(crate::searcher::hit_order);
-                merged.truncate(k);
+                let merged = view.with_sig(q, &mut QueryScratch::new(), |sig, s| {
+                    let lists = partitions
+                        .iter()
+                        .map(|p| view.kernel(sig, k, opts, p.serve(), s));
+                    merge_topk(lists, k)
+                });
                 assert_eq!(merged, global, "parts={parts} q={q:?}");
             }
         }

@@ -30,7 +30,7 @@ use crate::postings::{
     bm25_contribution, BlockPostings, Posting, PostingBlock, POSTINGS_BLOCK_SIZE,
 };
 use crate::searcher::{
-    annotation_boost, drain_heap_topk, Bm25Params, HeapEntry, Hit, QueryScratch, SearchOptions,
+    drain_heap_topk, Bm25Params, HeapEntry, Hit, QueryScratch, SearchOptions, View,
     ANNOTATION_BOOST,
 };
 use deepweb_common::ids::{DocId, TermId};
@@ -46,14 +46,6 @@ const EXHAUSTED: u32 = u32::MAX;
 #[inline]
 pub(crate) fn guard_ub(x: f64) -> f64 {
     x * (1.0 + 1e-9) + 1e-12
-}
-
-/// Deflate an *estimated* threshold (one computed in a different summation
-/// order than the final scores, like the scatter path's bootstrap bound)
-/// before using it to skip. Same margin as [`guard_ub`], pointed down.
-#[inline]
-pub(crate) fn floor_threshold(x: f64) -> f64 {
-    x - (x.abs() * 1e-9 + 1e-12)
 }
 
 /// One block's score upper bound under the query's BM25 parameters: the
@@ -275,44 +267,6 @@ impl PrunedCursor {
     }
 }
 
-/// The scatter path's per-term block filter: emit `(doc, contribution)`
-/// candidates for every posting of `id` whose block could still matter —
-/// a block is skipped only when even its max contribution plus the *other*
-/// terms' total bounds (`other_ub`, which already includes the annotation
-/// bound) cannot reach the floored threshold estimate `t0`. Docs of skipped
-/// blocks either never reach the top-k (their total score is provably below
-/// the k-th hit) or appear in kept blocks of every term that matters to
-/// them, so the gathered fold stays byte-identical for every kept hit.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn pruned_term_candidates(
-    postings: &crate::postings::ShardedPostings,
-    bp: &BlockPostings,
-    id: TermId,
-    other_ub: f64,
-    t0: f64,
-    bm25: Bm25Params,
-    params_match: bool,
-    avg_len: f64,
-    cands: &mut Vec<(DocId, f64)>,
-) {
-    let idf = postings.idf_id(id);
-    let mut decoded: Vec<Posting> = Vec::new();
-    for block in bp.term_blocks(id) {
-        let ub = block_ub(block, idf, avg_len, bm25, params_match);
-        if guard_ub(other_ub + ub) < t0 {
-            continue;
-        }
-        bp.decode_block(block, &mut decoded);
-        for p in &decoded {
-            let dl = f64::from(postings.doc_len(p.doc));
-            cands.push((
-                p.doc,
-                bm25_contribution(idf, f64::from(p.tf), dl, avg_len, bm25.k1, bm25.b),
-            ));
-        }
-    }
-}
-
 /// Recycled state for the pruned kernel: cursors (with their decode
 /// buffers) and the doc-order index, reused across queries like every other
 /// scratch buffer.
@@ -324,9 +278,10 @@ pub(crate) struct PrunedScratch {
 
 /// Block-max WAND over `[lo, hi)`: the pruned equivalent of scoring every
 /// sig term's postings in that doc range and selecting top-k — byte-identical
-/// to that exhaustive fold (see module docs for the argument). Runs on the
-/// scratch's recycled heap and cursor buffers; the dense score accumulator
-/// is untouched.
+/// to that exhaustive fold (see module docs for the argument). The range
+/// kernel runs it for a view with no segments once the base's pruning
+/// structures are built. Runs on the scratch's recycled heap and cursor
+/// buffers; the dense score accumulator is untouched.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn pruned_topk_range(
     index: &SearchIndex,
@@ -458,7 +413,7 @@ pub(crate) fn pruned_topk_range(
                     }
                 }
                 if opts.use_annotations {
-                    score += annotation_boost(index, sig, DocId(d_p));
+                    score += View::new(index, None).annotation_boost(sig, DocId(d_p));
                 }
                 scratch.heap.push(HeapEntry(score, d_p));
                 if scratch.heap.len() > k {
@@ -577,32 +532,21 @@ mod tests {
     #[test]
     fn pruned_equals_exhaustive_per_partition_range() {
         let idx = build(300);
-        let pr = idx.pruning().expect("pruning enabled");
+        let view = View::new(&idx, None);
+        let exhaustive = SearchOptions::default();
+        let pruned = SearchOptions {
+            pruning: PruningMode::BlockMax,
+            ..exhaustive
+        };
         let mut scratch = QueryScratch::new();
-        let postings = idx.postings();
         for q in ["honda listing", "common rareterm", "ford common"] {
-            scratch.analyze(q);
-            scratch.resolve(postings);
-            let sig = scratch.resolved_sig().to_vec();
-            for (lo, hi) in [(0u32, 300u32), (0, 77), (77, 150), (150, 300), (299, 300)] {
-                let opts = SearchOptions::default();
-                // Exhaustive range reference via the partition kernel.
-                let avg_len = postings.avg_doc_len().max(1.0);
-                scratch.prepare(postings.num_docs());
-                for &id in &sig {
-                    crate::searcher::accumulate_term_range(
-                        postings,
-                        id,
-                        opts.bm25,
-                        avg_len,
-                        lo,
-                        hi,
-                        |doc, c| scratch.add(doc, c),
-                    );
-                }
-                let want = crate::searcher::top_k_hits(&mut scratch, 5);
-                let got = pruned_topk_range(&idx, pr, &sig, 5, opts, lo, hi, &mut scratch);
-                assert_eq!(got, want, "q={q:?} range={lo}..{hi}");
+            for range in [(0u32, 300u32), (0, 77), (77, 150), (150, 300), (299, 300)] {
+                let [want, got] = [exhaustive, pruned].map(|opts| {
+                    view.with_sig(q, &mut scratch, |sig, s| {
+                        view.kernel(sig, 5, opts, range, s)
+                    })
+                });
+                assert_eq!(got, want, "q={q:?} range={range:?}");
             }
         }
     }
@@ -657,7 +601,6 @@ mod tests {
     fn guards_are_conservative() {
         for x in [0.0f64, 1e-300, 1.0, 123.456, 1e12] {
             assert!(guard_ub(x) > x);
-            assert!(floor_threshold(x) < x);
         }
         assert!(guard_ub(f64::NEG_INFINITY) == f64::NEG_INFINITY || guard_ub(0.0) > 0.0);
     }

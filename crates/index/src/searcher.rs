@@ -7,6 +7,18 @@
 //! rescues the "used ford focus 1993" example from the Honda Civic page whose
 //! free text merely mentions the Ford Focus.
 //!
+//! ## One read model
+//!
+//! Every serving tier reads the index the same way (DESIGN.md §15). A read
+//! view is a base [`SearchIndex`] plus the ordered sealed segments pending
+//! over it; a plain index is the view with zero segments. A query is
+//! analysed and resolved to its term-id signature once, the one range
+//! kernel scores each doc range the tier owns (the whole index, or each
+//! cluster partition), and exact per-range top-k lists merge under the one
+//! strict hit order. The kernel runs block-max WAND when the view has no
+//! segments and pruning structures are built, and exhaustive accumulation
+//! otherwise — the same bytes either way.
+//!
 //! ## The zero-allocation kernel
 //!
 //! The scoring kernel runs against a reusable [`QueryScratch`]: lowercased
@@ -19,13 +31,17 @@
 //! scratch is fully reset between queries and equality with fresh-scratch
 //! calls is enforced by unit and property tests.
 
+use crate::docstore::AnnotationIds;
 use crate::index::SearchIndex;
-use crate::postings::ShardedPostings;
+use crate::postings::{bm25_contribution, bm25_idf, Postings};
+use crate::segments::{Generation, SealedSegment};
 use deepweb_common::ids::{DocId, FacetKeyId, TermId};
 use deepweb_common::text::{is_stopword, lower_into, raw_tokens};
+use deepweb_common::{FxHashMap, FxHashSet};
 use std::cell::RefCell;
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
+use std::sync::Arc;
 
 /// BM25 parameters.
 #[derive(Clone, Copy, Debug)]
@@ -185,17 +201,14 @@ pub struct QueryScratch {
     /// canonical scoring order every serving path folds contributions in.
     terms: Vec<String>,
     n_terms: usize,
-    /// Resolved ids of `terms[..n_terms]`, filled by [`QueryScratch::resolve`]
-    /// — one dictionary hash per term per query, shared by scoring and the
-    /// annotation pass (`None` = term unknown to the index).
-    ids: Vec<Option<TermId>>,
-    /// The query's resolved-id signature: the `Some` entries of `ids`, in the
-    /// same distinct-term order. Unknown terms contribute nothing to scoring
-    /// or the annotation pass, so this sequence fully determines the result
-    /// for a fixed `(k, SearchOptions)` — it is the cluster tier's cache key
-    /// and replica-routing key (DESIGN.md §13). Order matters: f64
-    /// accumulation folds in exactly this sequence, so the signature is never
-    /// sorted or canonicalised.
+    /// The query's resolved-id signature, filled by [`QueryScratch::resolve`]:
+    /// the ids of the terms the view knows, in the distinct-term order — one
+    /// dictionary hash per term per query, shared by scoring and the
+    /// annotation pass. Unknown terms contribute nothing to either, so this
+    /// sequence fully determines the result for a fixed `(k, SearchOptions)`
+    /// — it is the cluster tier's cache key and replica-routing key
+    /// (DESIGN.md §13). Order matters: f64 accumulation folds in exactly
+    /// this sequence, so the signature is never sorted or canonicalised.
     pub(crate) sig: Vec<TermId>,
     /// Dense score accumulator indexed by doc id. Invariant between queries:
     /// all zeros (only entries listed in `touched` are ever non-zero, and
@@ -219,7 +232,7 @@ impl QueryScratch {
     /// terms in first-occurrence order, written into recycled buffers.
     /// Duplicate skipping is a linear scan — queries have a handful of terms,
     /// and it avoids a hash set entirely.
-    pub(crate) fn analyze(&mut self, text: &str) {
+    fn analyze(&mut self, text: &str) {
         self.n_terms = 0;
         for raw in raw_tokens(text) {
             if self.n_terms == self.terms.len() {
@@ -234,68 +247,34 @@ impl QueryScratch {
         }
     }
 
-    /// The analysed query terms (distinct, first-occurrence order).
-    pub(crate) fn terms(&self) -> &[String] {
-        &self.terms[..self.n_terms]
-    }
-
-    /// Resolve every analysed term against the index's dictionary into the
-    /// recycled id buffer — the query's single string-hash pass. Scoring
-    /// skips the `None`s (unknown terms have no postings); the annotation
-    /// pass probes the `Some` ids against interned facet structures.
-    pub(crate) fn resolve(&mut self, postings: &ShardedPostings) {
-        self.ids.clear();
-        self.ids.extend(
-            self.terms[..self.n_terms]
-                .iter()
-                .map(|t| postings.term_id(t)),
-        );
-        self.sig.clear();
-        self.sig.extend(self.ids.iter().flatten());
-    }
-
-    /// [`QueryScratch::resolve`] against an arbitrary term-resolution
-    /// function — the segmented freshness tier resolves terms against the
-    /// base dictionary *extended by* a generation's overlay, which is not a
-    /// [`ShardedPostings`]. Fills `ids` and `sig` exactly like `resolve`.
-    pub(crate) fn resolve_with(&mut self, mut f: impl FnMut(&str) -> Option<TermId>) {
+    /// Analyse `query` and resolve its terms against `view` into
+    /// [`QueryScratch::sig`] — the query's single string-hash pass, run
+    /// once per query by every tier.
+    pub(crate) fn resolve(&mut self, query: &str, view: View<'_>) {
+        self.analyze(query);
         let QueryScratch {
             terms,
             n_terms,
-            ids,
+            sig,
             ..
         } = self;
-        ids.clear();
-        ids.extend(terms[..*n_terms].iter().map(|t| f(t)));
-        self.sig.clear();
-        self.sig.extend(self.ids.iter().flatten());
-    }
-
-    /// The resolved query ids, aligned with [`QueryScratch::terms`]. Only
-    /// valid after [`QueryScratch::resolve`] for the current query.
-    pub(crate) fn resolved_ids(&self) -> &[Option<TermId>] {
-        &self.ids
-    }
-
-    /// The resolved-id signature (known terms only, distinct-term order).
-    /// Only valid after [`QueryScratch::resolve`] for the current query.
-    pub(crate) fn resolved_sig(&self) -> &[TermId] {
-        &self.sig
+        sig.clear();
+        sig.extend(terms[..*n_terms].iter().filter_map(|t| view.term_id(t)));
     }
 
     /// Ensure the dense score vector covers `num_docs` documents. Newly
     /// exposed entries are zero, preserving the all-zeros invariant.
-    pub(crate) fn prepare(&mut self, num_docs: usize) {
+    fn prepare(&mut self, num_docs: usize) {
         if self.scores.len() < num_docs {
             self.scores.resize(num_docs, 0.0);
         }
     }
 
     /// Accumulate one contribution for `doc` — the exact `scores[doc] += c`
-    /// fold every serving path shares. BM25 contributions are strictly
-    /// positive, so 0.0 doubles as the "untouched" marker.
+    /// fold. BM25 contributions are strictly positive, so 0.0 doubles as the
+    /// "untouched" marker.
     #[inline]
-    pub(crate) fn add(&mut self, doc: DocId, c: f64) {
+    fn add(&mut self, doc: DocId, c: f64) {
         let s = &mut self.scores[doc.as_usize()];
         if *s == 0.0 {
             self.touched.push(doc);
@@ -304,61 +283,246 @@ impl QueryScratch {
     }
 }
 
-/// Emit one term's BM25 contribution for every posting of the interned term
-/// `id`, in doc-id order. This is the single scoring kernel: the sequential
-/// searcher accumulates straight into its scratch, while the broker's
-/// scatter path collects `(doc, contribution)` candidates per shard — both
-/// run this exact function, so their floating-point values are bit-identical.
-pub(crate) fn accumulate_term(
-    postings: &ShardedPostings,
-    id: TermId,
-    bm25: Bm25Params,
-    avg_len: f64,
-    emit: impl FnMut(DocId, f64),
-) {
-    accumulate_postings(postings, id, postings.postings_id(id), bm25, avg_len, emit)
+/// The one read model (DESIGN.md §15): a base index plus the ordered sealed
+/// segments pending over it. A plain [`SearchIndex`] is the view with zero
+/// segments. Every serving tier — sequential, batched, clustered, pruned and
+/// segmented — analyses and resolves a query once against a view, runs
+/// [`View::kernel`] over each doc range it owns, and merges the exact
+/// per-range lists with [`merge_topk`].
+#[derive(Clone, Copy)]
+pub(crate) struct View<'a> {
+    base: &'a SearchIndex,
+    /// The generation whose segments are pending over `base`; `None` when
+    /// there are none, so the zero-segment view never probes an overlay.
+    pending: Option<&'a Generation>,
 }
 
-/// [`accumulate_term`] restricted to documents in `[lo, hi)` — the doc-range
-/// partition kernel. Posting lists are sorted by doc id, so the sub-range is
-/// located by binary search and each posting's contribution is the *same
-/// expression over the same global statistics* (idf, avg doc length) as the
-/// full scan: a doc's score is bit-identical whether it was computed by the
-/// sequential searcher or inside its owning partition.
-pub(crate) fn accumulate_term_range(
-    postings: &ShardedPostings,
-    id: TermId,
-    bm25: Bm25Params,
-    avg_len: f64,
-    lo: u32,
-    hi: u32,
-    emit: impl FnMut(DocId, f64),
-) {
-    let list = postings.postings_id(id);
-    let start = list.partition_point(|p| p.doc.0 < lo);
-    let end = start + list[start..].partition_point(|p| p.doc.0 < hi);
-    accumulate_postings(postings, id, &list[start..end], bm25, avg_len, emit)
-}
+impl<'a> View<'a> {
+    /// `base` with `pending`'s segments laid over it (`None` = no segments).
+    pub(crate) fn new(base: &'a SearchIndex, pending: Option<&'a Generation>) -> Self {
+        View { base, pending }
+    }
 
-/// Shared contribution loop behind [`accumulate_term`] and
-/// [`accumulate_term_range`]: one expression, one place, so no serving path
-/// can drift from the kernel.
-fn accumulate_postings(
-    postings: &ShardedPostings,
-    id: TermId,
-    list: &[crate::postings::Posting],
-    bm25: Bm25Params,
-    avg_len: f64,
-    mut emit: impl FnMut(DocId, f64),
-) {
-    let idf = postings.idf_id(id);
-    for p in list {
-        let dl = postings.doc_len(p.doc) as f64;
-        let tf = p.tf as f64;
-        emit(
-            p.doc,
-            crate::postings::bm25_contribution(idf, tf, dl, avg_len, bm25.k1, bm25.b),
-        );
+    fn segments(&self) -> &'a [Arc<SealedSegment>] {
+        self.pending.map_or(&[], |g| &g.segments)
+    }
+
+    /// Documents in the view (base + segments).
+    pub(crate) fn num_docs(&self) -> usize {
+        self.pending
+            .map_or_else(|| self.base.postings().num_docs(), |g| g.overlay.num_docs)
+    }
+
+    /// Mean document length over the view, from exact integer totals — the
+    /// value a merged rebuild computes.
+    fn avg_len(&self) -> f64 {
+        let (total, n) = match self.pending {
+            Some(g) => (g.overlay.total_len, g.overlay.num_docs),
+            None => (self.base.postings().total_doc_len(), self.num_docs()),
+        };
+        if n == 0 {
+            1.0
+        } else {
+            (total as f64 / n as f64).max(1.0)
+        }
+    }
+
+    /// Resolve a term against the base dictionary, extended by the overlay
+    /// of novel segment terms (whose ids replay the merge's interning).
+    fn term_id(&self, term: &str) -> Option<TermId> {
+        self.base
+            .postings()
+            .term_id(term)
+            .or_else(|| self.pending?.overlay.terms.get(term).copied())
+    }
+
+    /// View-wide document frequency: the base's plus each segment's — the
+    /// length the merged posting list would have.
+    fn df(&self, id: TermId) -> usize {
+        let base = self.base.postings();
+        let own = if id.as_usize() < base.num_terms() {
+            base.df_id(id)
+        } else {
+            0
+        };
+        let segs = self.segments().iter();
+        own + segs
+            .filter_map(|s| Some(s.postings.df_id(*s.inv.get(&id)?)))
+            .sum::<usize>()
+    }
+
+    /// The range kernel: score the resolved signature over docs `[lo, hi)`
+    /// and return the range's exact top `k` (every doc's score is whole
+    /// inside any range that holds it). Block-max WAND runs when the view
+    /// has no segments and the base's pruning structures are built;
+    /// otherwise contributions accumulate exhaustively. Both return the same
+    /// bytes (DESIGN.md §14).
+    ///
+    /// Exhaustive accumulation folds per doc in signature order (terms
+    /// outer, postings inner), and within a term the base list before each
+    /// segment's in stack order — ascending doc id, the merged list's order
+    /// — with idf and the mean doc length taken over the whole view, so a
+    /// doc's score is bit-identical whichever tier or range computed it.
+    pub(crate) fn kernel(
+        self,
+        sig: &[TermId],
+        k: usize,
+        opts: SearchOptions,
+        (lo, hi): (u32, u32),
+        scratch: &mut QueryScratch,
+    ) -> Vec<Hit> {
+        if sig.is_empty() || k == 0 || lo >= hi {
+            return Vec::new();
+        }
+        if let (PruningMode::BlockMax, None, Some(pr)) =
+            (opts.pruning, self.pending, self.base.pruning())
+        {
+            return crate::pruned::pruned_topk_range(self.base, pr, sig, k, opts, lo, hi, scratch);
+        }
+        let (n, avg_len, base) = (self.num_docs(), self.avg_len(), self.base.postings());
+        scratch.prepare(n);
+        for &id in sig {
+            let idf = bm25_idf(n as f64, self.df(id) as f64);
+            let mut fold = |postings: &Postings, id: TermId, offset: u32, lo: u32, hi: u32| {
+                let list = postings.postings_id(id);
+                let start = list.partition_point(|p| p.doc.0 < lo);
+                let end = start + list[start..].partition_point(|p| p.doc.0 < hi);
+                for p in &list[start..end] {
+                    let (tf, dl) = (f64::from(p.tf), f64::from(postings.doc_len(p.doc)));
+                    let c = bm25_contribution(idf, tf, dl, avg_len, opts.bm25.k1, opts.bm25.b);
+                    scratch.add(DocId(offset + p.doc.0), c);
+                }
+            };
+            if id.as_usize() < base.num_terms() {
+                fold(base, id, 0, lo, hi);
+            }
+            for seg in self.segments() {
+                let r = seg.doc_range();
+                if r.end <= lo || r.start >= hi {
+                    continue;
+                }
+                if let Some(&local) = seg.inv.get(&id) {
+                    fold(
+                        &seg.postings,
+                        local,
+                        r.start,
+                        lo.max(r.start) - r.start,
+                        hi.min(r.end) - r.start,
+                    );
+                }
+            }
+        }
+        if opts.use_annotations {
+            let QueryScratch {
+                scores, touched, ..
+            } = scratch;
+            for &doc in touched.iter() {
+                scores[doc.as_usize()] += self.annotation_boost(sig, doc);
+            }
+        }
+        top_k_hits(scratch, k)
+    }
+
+    /// Resolve `query` into `scratch`, then run `f` on its signature — the
+    /// prologue every tier shares. The signature is moved out so `f` can
+    /// borrow the rest of the scratch mutably, and restored afterwards.
+    pub(crate) fn with_sig<R>(
+        self,
+        query: &str,
+        scratch: &mut QueryScratch,
+        f: impl FnOnce(&[TermId], &mut QueryScratch) -> R,
+    ) -> R {
+        scratch.resolve(query, self);
+        let sig = std::mem::take(&mut scratch.sig);
+        let out = f(&sig, scratch);
+        scratch.sig = sig;
+        out
+    }
+
+    /// Top-`k` hits for `query` over the view's whole doc range.
+    pub(crate) fn search(
+        self,
+        query: &str,
+        k: usize,
+        opts: SearchOptions,
+        scratch: &mut QueryScratch,
+    ) -> Vec<Hit> {
+        let all = (0, self.num_docs() as u32);
+        self.with_sig(query, scratch, |sig, s| self.kernel(sig, k, opts, all, s))
+    }
+
+    /// The annotation adjustment for one document: +[`ANNOTATION_BOOST`] per
+    /// facet value the query names in full, -[`ANNOTATION_CONFLICT_PENALTY`]
+    /// per facet where a query token is a *known value* of that facet but
+    /// this page is annotated with a different one.
+    ///
+    /// Everything here is interned: annotation values are pre-tokenised
+    /// [`TermId`] slices (on the base docstore or the owning segment), the
+    /// facet vocabulary is an id-set keyed by facet-key id (the base's,
+    /// unioned with the overlay's additions), and `qids` is the query's
+    /// resolved-id signature — so one query id compares against annotation
+    /// tokens by `u32` equality and probes the vocabulary with one integer
+    /// hash. Each annotation takes a single pass over the resolved ids: a
+    /// bitmask tracks which value tokens the query covers while the same
+    /// pass flags conflicting ids. Unknown terms are absent from the
+    /// signature; they could never cover a value token or probe the
+    /// vocabulary, so dropping them changes nothing.
+    pub(crate) fn annotation_boost(&self, qids: &[TermId], doc: DocId) -> f64 {
+        let mut boost = 0.0;
+        for ann in self.annotation_ids(doc) {
+            let value_ids = &ann.terms;
+            if value_ids.is_empty() || value_ids.len() > 64 {
+                // Empty: nothing to match (and nothing to conflict with, since a
+                // conflict is "a different value of *this* facet"). >64 tokens
+                // cannot happen for form-input values; skip rather than score a
+                // facet we cannot track exactly.
+                continue;
+            }
+            let full: u64 = u64::MAX >> (64 - value_ids.len());
+            let mut covered: u64 = 0;
+            let mut conflict = false;
+            for &qid in qids {
+                let mut is_value_token = false;
+                for (vi, &v) in value_ids.iter().enumerate() {
+                    if v == qid {
+                        covered |= 1 << vi;
+                        is_value_token = true;
+                    }
+                }
+                // Conflict candidate: a query id that is a known value of this
+                // facet but not one of this annotation's own tokens.
+                if !is_value_token && !conflict {
+                    conflict = self.facet_has(ann.key, qid);
+                }
+            }
+            if covered == full {
+                // Query explicitly names this facet value: structured match.
+                boost += ANNOTATION_BOOST;
+            } else if conflict {
+                boost -= ANNOTATION_CONFLICT_PENALTY;
+            }
+        }
+        boost
+    }
+
+    /// A doc's interned annotations, wherever the doc lives.
+    fn annotation_ids(&self, doc: DocId) -> &'a [AnnotationIds] {
+        if doc.as_usize() < self.base.len() {
+            return &self.base.docs().get(doc).annotation_ids;
+        }
+        let segs = self.segments();
+        let si = segs.partition_point(|s| s.base_doc <= doc.0);
+        segs.get(si.saturating_sub(1))
+            .map_or(&[], |s| &s.ann_global[(doc.0 - s.base_doc) as usize])
+    }
+
+    /// Facet-vocabulary probe over the base ∪ overlay union — the merged
+    /// index's vocabulary, by construction.
+    fn facet_has(&self, key: FacetKeyId, qid: TermId) -> bool {
+        let has = |vocab: &FxHashMap<FacetKeyId, FxHashSet<TermId>>| {
+            vocab.get(&key).is_some_and(|vals| vals.contains(&qid))
+        };
+        has(self.base.facet_values()) || self.pending.is_some_and(|g| has(&g.overlay.facet_values))
     }
 }
 
@@ -367,7 +531,7 @@ fn accumulate_postings(
 /// tie-break is explicit at both stages — the bounded heap's eviction order
 /// and the final sort — so the result never depends on accumulation order,
 /// and every serving path returns byte-identical hits.
-pub(crate) fn top_k_hits(scratch: &mut QueryScratch, k: usize) -> Vec<Hit> {
+fn top_k_hits(scratch: &mut QueryScratch, k: usize) -> Vec<Hit> {
     let QueryScratch {
         scores,
         touched,
@@ -404,15 +568,27 @@ pub(crate) fn drain_heap_topk(heap: &mut BinaryHeap<HeapEntry>) -> Vec<Hit> {
 }
 
 /// The one total order on hits: score descending, doc id ascending on ties.
-/// Doc ids are unique, so this is strict — which is what makes the cluster
-/// tier's partition-merge exact (DESIGN.md §13): merging per-partition top-k
-/// lists under a strict total order and truncating to k reproduces the
-/// global top-k byte-for-byte.
-pub(crate) fn hit_order(a: &Hit, b: &Hit) -> Ordering {
+/// Doc ids are unique, so this is strict — which is what makes the
+/// partition merge exact ([`merge_topk`]).
+fn hit_order(a: &Hit, b: &Hit) -> Ordering {
     b.score
         .partial_cmp(&a.score)
         .unwrap_or(Ordering::Equal)
         .then_with(|| a.doc.0.cmp(&b.doc.0))
+}
+
+/// Merge exact per-range top-k lists into the global top-k: concatenate,
+/// sort under the strict total order, truncate. Range lists are disjoint
+/// (doc ranges don't overlap) and each holds its range's true top-≤k; the
+/// global i-th best hit (i ≤ k) ranks ≤ i within its own range, so the
+/// global top-k is a subset of the concatenation and the strict order
+/// places it first — byte-identical to one sequential selection, at any
+/// range count (DESIGN.md §13).
+pub(crate) fn merge_topk(lists: impl IntoIterator<Item = Vec<Hit>>, k: usize) -> Vec<Hit> {
+    let mut all: Vec<Hit> = lists.into_iter().flatten().collect();
+    all.sort_by(hit_order);
+    all.truncate(k);
+    all
 }
 
 thread_local! {
@@ -437,9 +613,10 @@ pub fn search(index: &SearchIndex, query: &str, k: usize, opts: SearchOptions) -
     with_thread_scratch(|s| search_with_scratch(index, query, k, opts, s))
 }
 
-/// [`search`] against a caller-provided scratch. Reusing one scratch across
-/// any mix of queries, k values and indexes is byte-identical to fresh
-/// scratches (enforced by `tests/serving.rs` and the serving proptests).
+/// [`search`] against a caller-provided scratch: the range kernel over the
+/// index's whole doc range. Reusing one scratch across any mix of queries,
+/// k values and indexes is byte-identical to fresh scratches (enforced by
+/// `tests/serving.rs` and the serving proptests).
 pub fn search_with_scratch(
     index: &SearchIndex,
     query: &str,
@@ -447,170 +624,7 @@ pub fn search_with_scratch(
     opts: SearchOptions,
     scratch: &mut QueryScratch,
 ) -> Vec<Hit> {
-    scratch.analyze(query);
-    if scratch.n_terms == 0 || k == 0 {
-        return Vec::new();
-    }
-    let postings = index.postings();
-    let avg_len = postings.avg_doc_len().max(1.0);
-    scratch.resolve(postings);
-    if opts.pruning == PruningMode::BlockMax {
-        if let Some(pr) = index.pruning() {
-            // The signature is moved out so the kernel can borrow the rest
-            // of the scratch mutably; it is restored before returning.
-            let sig = std::mem::take(&mut scratch.sig);
-            let hits = crate::pruned::pruned_topk_range(
-                index,
-                pr,
-                &sig,
-                k,
-                opts,
-                0,
-                postings.num_docs() as u32,
-                scratch,
-            );
-            scratch.sig = sig;
-            return hits;
-        }
-    }
-    scratch.prepare(postings.num_docs());
-    for ti in 0..scratch.n_terms {
-        // Unknown terms have no postings and contribute nothing; skipping
-        // them preserves the exact accumulation sequence. (Annotation-only
-        // terms resolve but own empty posting lists — same no-op.)
-        let Some(id) = scratch.ids[ti] else {
-            continue;
-        };
-        accumulate_term(postings, id, opts.bm25, avg_len, |doc, c| {
-            scratch.add(doc, c)
-        });
-    }
-    if opts.use_annotations {
-        apply_annotations(index, scratch);
-    }
-    top_k_hits(scratch, k)
-}
-
-/// Apply annotation boosts/penalties to every touched doc in the scratch.
-/// Per-doc adjustments are independent, so iteration order cannot affect the
-/// result. Requires [`QueryScratch::resolve`] to have run for this query
-/// (every serving path resolves right after `analyze`).
-pub(crate) fn apply_annotations(index: &SearchIndex, scratch: &mut QueryScratch) {
-    let QueryScratch {
-        sig,
-        scores,
-        touched,
-        ..
-    } = scratch;
-    for &doc in touched.iter() {
-        scores[doc.as_usize()] += annotation_boost(index, sig, doc);
-    }
-}
-
-/// [`apply_annotations`] against a caller-provided signature — the cluster
-/// path resolves a query once at the aggregator and hands partitions the
-/// bare `TermId` signature, so their scratches never run `resolve` at all.
-pub(crate) fn apply_annotations_sig(
-    index: &SearchIndex,
-    sig: &[TermId],
-    scratch: &mut QueryScratch,
-) {
-    let QueryScratch {
-        scores, touched, ..
-    } = scratch;
-    for &doc in touched.iter() {
-        scores[doc.as_usize()] += annotation_boost(index, sig, doc);
-    }
-}
-
-/// Add a per-doc adjustment to every touched doc in the scratch — the
-/// generic form of the annotation pass, for callers whose documents do not
-/// all live in one [`SearchIndex`] (the segmented freshness tier looks up a
-/// doc's annotations in the base index or its owning delta segment).
-/// Per-doc adjustments are independent, so iteration order cannot affect
-/// the result.
-pub(crate) fn adjust_touched(scratch: &mut QueryScratch, mut f: impl FnMut(DocId) -> f64) {
-    let QueryScratch {
-        scores, touched, ..
-    } = scratch;
-    for &doc in touched.iter() {
-        scores[doc.as_usize()] += f(doc);
-    }
-}
-
-/// The annotation adjustment for one document: +[`ANNOTATION_BOOST`] per
-/// facet value the query names in full, -[`ANNOTATION_CONFLICT_PENALTY`] per
-/// facet where a query token is a *known value* of that facet but this page
-/// is annotated with a different one.
-///
-/// Everything here is interned: annotation values live on the docstore as
-/// pre-tokenised [`TermId`] slices, the facet vocabulary is an id-set keyed
-/// by facet-key id, and `qids` is the query's resolved-id signature — so one
-/// query id compares against annotation tokens by `u32` equality and probes
-/// the vocabulary with one integer hash. Each annotation takes a single pass
-/// over the resolved ids (no `terms × values` string rescans): a bitmask
-/// tracks which value tokens the query covers while the same pass flags
-/// conflicting ids. Unknown terms (resolved to `None`) are absent from the
-/// signature; they could never cover a value token or probe the vocabulary,
-/// so dropping them changes nothing.
-pub(crate) fn annotation_boost(index: &SearchIndex, qids: &[TermId], doc: DocId) -> f64 {
-    let facet_values = index.facet_values();
-    annotation_boost_of(&index.docs().get(doc).annotation_ids, qids, |key, qid| {
-        facet_values
-            .get(&key)
-            .is_some_and(|vals| vals.contains(&qid))
-    })
-}
-
-/// [`annotation_boost`] over explicit annotations and an abstract facet
-/// vocabulary probe — the same pass for documents that do not live in a
-/// [`SearchIndex`] docstore (delta-segment docs) or whose facet vocabulary
-/// is a base-plus-overlay union (segmented generations). Everything about
-/// the arithmetic and the probe order is unchanged, so a segmented reader's
-/// adjustments are bit-identical to the merged index's.
-pub(crate) fn annotation_boost_of(
-    annotation_ids: &[crate::docstore::AnnotationIds],
-    qids: &[TermId],
-    facet_has: impl Fn(FacetKeyId, TermId) -> bool,
-) -> f64 {
-    if annotation_ids.is_empty() {
-        return 0.0;
-    }
-    let mut boost = 0.0;
-    for ann in annotation_ids {
-        let value_ids = &ann.terms;
-        if value_ids.is_empty() || value_ids.len() > 64 {
-            // Empty: nothing to match (and nothing to conflict with, since a
-            // conflict is "a different value of *this* facet"). >64 tokens
-            // cannot happen for form-input values; skip rather than score a
-            // facet we cannot track exactly.
-            continue;
-        }
-        let full: u64 = u64::MAX >> (64 - value_ids.len());
-        let mut covered: u64 = 0;
-        let mut conflict = false;
-        for &qid in qids {
-            let mut is_value_token = false;
-            for (vi, &v) in value_ids.iter().enumerate() {
-                if v == qid {
-                    covered |= 1 << vi;
-                    is_value_token = true;
-                }
-            }
-            // Conflict candidate: a query id that is a known value of this
-            // facet but not one of this annotation's own tokens.
-            if !is_value_token && !conflict {
-                conflict = facet_has(ann.key, qid);
-            }
-        }
-        if covered == full {
-            // Query explicitly names this facet value: structured match.
-            boost += ANNOTATION_BOOST;
-        } else if conflict {
-            boost -= ANNOTATION_CONFLICT_PENALTY;
-        }
-    }
-    boost
+    View::new(index, None).search(query, k, opts, scratch)
 }
 
 #[cfg(test)]
@@ -836,12 +850,12 @@ mod tests {
     fn scratch_analyze_dedups_in_first_occurrence_order() {
         let mut s = QueryScratch::new();
         s.analyze("The Ford ford FOCUS focus 1993 ford");
-        assert_eq!(s.terms(), ["ford", "focus", "1993"]);
+        assert_eq!(s.terms[..s.n_terms], ["ford", "focus", "1993"]);
         // Reuse shrinks as well as grows.
         s.analyze("honda");
-        assert_eq!(s.terms(), ["honda"]);
+        assert_eq!(s.terms[..s.n_terms], ["honda"]);
         s.analyze("");
-        assert!(s.terms().is_empty());
+        assert_eq!(s.n_terms, 0);
     }
 
     #[test]

@@ -9,6 +9,11 @@
 //! [`SegmentedIndex::merge`] folds every segment into a fresh base entirely
 //! off the read path, publishing the result with one pointer swap.
 //!
+//! This module is the write side. Reads go through the one read model of
+//! [`crate::searcher`]: a generation is read as the base plus its ordered
+//! segments, scored by the same range kernel that serves a plain
+//! [`SearchIndex`] (the view with zero segments).
+//!
 //! ## Byte-identity (the load-bearing contract)
 //!
 //! A segmented generation must rank **byte-identically** to a from-scratch
@@ -23,8 +28,8 @@
 //!    ids therefore *are* the post-merge global ids, and a segment's interned
 //!    annotation layer ([`SealedSegment`]'s per-doc [`AnnotationIds`]) is the
 //!    one the merged index stores.
-//! 2. **Global statistics.** The segmented kernel evaluates the one BM25
-//!    expression ([`bm25_contribution`]) against generation-wide statistics:
+//! 2. **Global statistics.** The range kernel evaluates the one BM25
+//!    expression against generation-wide statistics:
 //!    `N` and the average doc length are recomputed from exact integer totals
 //!    (base + per-segment [`Postings::total_doc_len`]), and `df` is the base
 //!    document frequency plus each segment's — the same integers the merged
@@ -33,7 +38,7 @@
 //!    outer, postings inner), and within a term the base list is scanned
 //!    before each segment's list in segment order — ascending global doc id,
 //!    i.e. the merged posting list's order. Top-k selection and the
-//!    partition merge reuse the strict [`hit_order`] total order.
+//!    partition merge reuse the one strict hit order.
 //!
 //! ## Pruning-structure invalidation
 //!
@@ -47,13 +52,10 @@
 use crate::docstore::AnnotationIds;
 use crate::index::{build_shard, BatchDoc, SearchIndex};
 use crate::partition::partition_ranges;
-use crate::postings::{bm25_contribution, bm25_idf, Postings};
-use crate::searcher::{
-    adjust_touched, annotation_boost_of, hit_order, top_k_hits, with_thread_scratch, Hit,
-    QueryScratch, SearchOptions,
-};
+use crate::postings::Postings;
+use crate::searcher::{merge_topk, with_thread_scratch, Hit, QueryScratch, SearchOptions, View};
 use crate::service::SearchService;
-use deepweb_common::ids::{DocId, FacetKeyId, TermId};
+use deepweb_common::ids::{FacetKeyId, TermId};
 use deepweb_common::{FxHashMap, FxHashSet, ThreadPool};
 use parking_lot::{Mutex, RwLock};
 use std::sync::Arc;
@@ -65,10 +67,10 @@ use std::sync::Arc;
 #[derive(Debug)]
 pub struct SealedSegment {
     /// Global doc id of the segment's first document.
-    base_doc: u32,
+    pub(crate) base_doc: u32,
     /// Doc-local (ids `0..num_docs`), term-local postings — the exact build
     /// shard a merge absorbs.
-    postings: Postings,
+    pub(crate) postings: Postings,
     /// The raw documents, retained so a merge can replay the canonical
     /// store/facet bookkeeping.
     docs: Vec<BatchDoc>,
@@ -78,10 +80,10 @@ pub struct SealedSegment {
     /// Per doc: the interned annotations in generation-global ids — what the
     /// query-time annotation pass reads. Identical to what the merged index
     /// will store for these docs (id replay, see module docs).
-    ann_global: Vec<Vec<AnnotationIds>>,
+    pub(crate) ann_global: Vec<Vec<AnnotationIds>>,
     /// Generation-global term id → segment-local id, for query-time posting
     /// lookups.
-    inv: FxHashMap<TermId, TermId>,
+    pub(crate) inv: FxHashMap<TermId, TermId>,
 }
 
 impl SealedSegment {
@@ -107,22 +109,22 @@ impl SealedSegment {
 /// order), facet-vocabulary additions, the fresh URL set, and exact global
 /// totals for BM25 statistics.
 #[derive(Clone, Debug, Default)]
-struct Overlay {
+pub(crate) struct Overlay {
     /// Terms absent from the base dictionary → their generation id
     /// (`base.num_terms() + insertion order` — the id the merge will assign).
-    terms: FxHashMap<String, TermId>,
+    pub(crate) terms: FxHashMap<String, TermId>,
     /// Facet keys absent from the base → their generation id (same replay).
     facet_keys: FxHashMap<String, FacetKeyId>,
     /// Facet-vocabulary *additions* from segment annotations; probed as a
     /// union with the base's vocabulary.
-    facet_values: FxHashMap<FacetKeyId, FxHashSet<TermId>>,
+    pub(crate) facet_values: FxHashMap<FacetKeyId, FxHashSet<TermId>>,
     /// URLs of every segment doc (the base's `by_url` covers the rest).
     urls: FxHashSet<String>,
     /// Total documents across base + segments.
-    num_docs: usize,
+    pub(crate) num_docs: usize,
     /// Total tokens across base + segments (integer numerator of the merged
     /// average doc length).
-    total_len: u64,
+    pub(crate) total_len: u64,
 }
 
 /// One immutable snapshot of the freshness tier: a base index plus sealed
@@ -131,8 +133,8 @@ struct Overlay {
 #[derive(Debug)]
 pub struct Generation {
     base: Arc<SearchIndex>,
-    segments: Vec<Arc<SealedSegment>>,
-    overlay: Overlay,
+    pub(crate) segments: Vec<Arc<SealedSegment>>,
+    pub(crate) overlay: Overlay,
 }
 
 impl Generation {
@@ -174,148 +176,15 @@ impl Generation {
         self.base.contains_url(url) || self.overlay.urls.contains(&url.to_string())
     }
 
-    /// Resolve a term against the base dictionary extended by the overlay.
-    fn term_id(&self, term: &str) -> Option<TermId> {
-        self.base
-            .postings()
-            .term_id(term)
-            .or_else(|| self.overlay.terms.get(term).copied())
+    /// The read view over this generation: the base plus its pending
+    /// segments. With none pending it is the plain base view, so block-max
+    /// pruning applies as usual.
+    fn view(&self) -> View<'_> {
+        View::new(&self.base, (!self.segments.is_empty()).then_some(self))
     }
 
-    /// Generation-wide document frequency: base df (for base-dictionary ids)
-    /// plus each segment's — the same integer the merged list's length would
-    /// be.
-    fn df(&self, id: TermId) -> usize {
-        let mut df = if id.as_usize() < self.base.postings().num_terms() {
-            self.base.postings().df_id(id)
-        } else {
-            0
-        };
-        for seg in &self.segments {
-            if let Some(&local) = seg.inv.get(&id) {
-                df += seg.postings.df_id(local);
-            }
-        }
-        df
-    }
-
-    /// Facet-vocabulary probe over the base ∪ overlay union — the merged
-    /// index's vocabulary, by construction.
-    fn facet_has(&self, key: FacetKeyId, qid: TermId) -> bool {
-        self.base
-            .facet_values()
-            .get(&key)
-            .is_some_and(|vals| vals.contains(&qid))
-            || self
-                .overlay
-                .facet_values
-                .get(&key)
-                .is_some_and(|vals| vals.contains(&qid))
-    }
-
-    /// A doc's interned annotations, wherever the doc lives.
-    fn annotation_ids_of(&self, doc: DocId) -> &[AnnotationIds] {
-        if doc.as_usize() < self.base.len() {
-            return &self.base.docs().get(doc).annotation_ids;
-        }
-        let si = self
-            .segments
-            .partition_point(|s| s.base_doc <= doc.0)
-            .saturating_sub(1);
-        let seg = &self.segments[si];
-        &seg.ann_global[(doc.0 - seg.base_doc) as usize]
-    }
-
-    /// Accumulate one resolved term's contributions over global docs
-    /// `[lo, hi)`: the base's sub-list first, then each overlapping
-    /// segment's, in segment order — ascending global doc id, i.e. exactly
-    /// the merged posting list restricted to the range.
-    #[allow(clippy::too_many_arguments)]
-    fn accumulate_id_range(
-        &self,
-        id: TermId,
-        idf: f64,
-        opts: SearchOptions,
-        avg_len: f64,
-        lo: u32,
-        hi: u32,
-        scratch: &mut QueryScratch,
-    ) {
-        let (k1, b) = (opts.bm25.k1, opts.bm25.b);
-        if id.as_usize() < self.base.postings().num_terms() {
-            let list = self.base.postings().postings_id(id);
-            let start = list.partition_point(|p| p.doc.0 < lo);
-            let end = start + list[start..].partition_point(|p| p.doc.0 < hi);
-            for p in &list[start..end] {
-                let dl = f64::from(self.base.postings().doc_len(p.doc));
-                scratch.add(
-                    p.doc,
-                    bm25_contribution(idf, f64::from(p.tf), dl, avg_len, k1, b),
-                );
-            }
-        }
-        for seg in &self.segments {
-            let seg_lo = seg.base_doc;
-            let seg_hi = seg.base_doc + seg.postings.num_docs() as u32;
-            if seg_hi <= lo || seg_lo >= hi {
-                continue;
-            }
-            let Some(&local) = seg.inv.get(&id) else {
-                continue;
-            };
-            let (llo, lhi) = (lo.max(seg_lo) - seg_lo, hi.min(seg_hi) - seg_lo);
-            let list = seg.postings.postings_id(local);
-            let start = list.partition_point(|p| p.doc.0 < llo);
-            let end = start + list[start..].partition_point(|p| p.doc.0 < lhi);
-            for p in &list[start..end] {
-                let dl = f64::from(seg.postings.doc_len(p.doc));
-                scratch.add(
-                    DocId(seg_lo + p.doc.0),
-                    bm25_contribution(idf, f64::from(p.tf), dl, avg_len, k1, b),
-                );
-            }
-        }
-    }
-
-    /// The segmented exhaustive kernel over global docs `[lo, hi)`,
-    /// assuming `analyze` + `resolve_with` already ran for this query.
-    /// Shared by the sequential path (full range) and the partitioned tier.
-    fn scored_range(
-        &self,
-        k: usize,
-        opts: SearchOptions,
-        avg_len: f64,
-        lo: u32,
-        hi: u32,
-        scratch: &mut QueryScratch,
-    ) -> Vec<Hit> {
-        scratch.prepare(self.overlay.num_docs);
-        // The signature is the resolved ids minus unknown terms, in the
-        // distinct-term order — skipping the `None`s exactly like the
-        // sequential kernel does. Moved out so the loop can borrow the
-        // scratch mutably; restored below.
-        let sig = std::mem::take(&mut scratch.sig);
-        for &id in &sig {
-            let idf = bm25_idf(self.overlay.num_docs as f64, self.df(id) as f64);
-            self.accumulate_id_range(id, idf, opts, avg_len, lo, hi, scratch);
-        }
-        if opts.use_annotations {
-            adjust_touched(scratch, |doc| {
-                annotation_boost_of(self.annotation_ids_of(doc), &sig, |key, qid| {
-                    self.facet_has(key, qid)
-                })
-            });
-        }
-        scratch.sig = sig;
-        top_k_hits(scratch, k)
-    }
-
-    /// Top-`k` hits over this generation, caller-provided scratch.
-    ///
-    /// With no pending segments this delegates to the plain kernel over the
-    /// base (pruning structures and all). With segments it scores
-    /// exhaustively — per-segment pruning invalidation — which is
-    /// byte-identical by the mode-equality contract.
+    /// Top-`k` hits over this generation, caller-provided scratch — the
+    /// range kernel over the generation's whole doc range.
     pub fn search_with_scratch(
         &self,
         query: &str,
@@ -323,16 +192,7 @@ impl Generation {
         opts: SearchOptions,
         scratch: &mut QueryScratch,
     ) -> Vec<Hit> {
-        if self.segments.is_empty() {
-            return crate::searcher::search_with_scratch(&self.base, query, k, opts, scratch);
-        }
-        scratch.analyze(query);
-        if scratch.terms().is_empty() || k == 0 {
-            return Vec::new();
-        }
-        let avg_len = (self.overlay.total_len as f64 / self.overlay.num_docs as f64).max(1.0);
-        scratch.resolve_with(|t| self.term_id(t));
-        self.scored_range(k, opts, avg_len, 0, self.overlay.num_docs as u32, scratch)
+        self.view().search(query, k, opts, scratch)
     }
 
     /// Top-`k` hits over this generation (per-thread scratch).
@@ -342,9 +202,8 @@ impl Generation {
 
     /// The cluster-style read: score `parts` contiguous doc-range partitions
     /// of the generation independently (each partition's top-k is exact —
-    /// every doc's score is whole inside its owning range) and merge under
-    /// the strict [`hit_order`] total order. Byte-identical to
-    /// [`Generation::search`] for any `parts`.
+    /// every doc's score is whole inside its owning range) and merge them.
+    /// Byte-identical to [`Generation::search`] for any `parts`.
     pub fn search_partitioned(
         &self,
         query: &str,
@@ -352,41 +211,15 @@ impl Generation {
         opts: SearchOptions,
         parts: usize,
     ) -> Vec<Hit> {
-        if self.segments.is_empty() {
-            // Serve through the sealed base's own partition kernel (which may
-            // use pruning); equality with the sequential oracle is its
-            // existing contract.
-            return with_thread_scratch(|scratch| {
-                scratch.analyze(query);
-                if scratch.terms().is_empty() || k == 0 {
-                    return Vec::new();
-                }
-                scratch.resolve(self.base.postings());
-                let sig = std::mem::take(&mut scratch.sig);
-                let mut merged: Vec<Hit> = Vec::new();
-                for part in crate::partition::IndexPartition::layout(&self.base, parts) {
-                    merged.extend(part.search_sig(&self.base, &sig, k, opts, scratch));
-                }
-                scratch.sig = sig;
-                merged.sort_by(hit_order);
-                merged.truncate(k);
-                merged
-            });
-        }
+        let view = self.view();
+        let ranges = partition_ranges(view.num_docs(), parts);
         with_thread_scratch(|scratch| {
-            scratch.analyze(query);
-            if scratch.terms().is_empty() || k == 0 {
-                return Vec::new();
-            }
-            let avg_len = (self.overlay.total_len as f64 / self.overlay.num_docs as f64).max(1.0);
-            scratch.resolve_with(|t| self.term_id(t));
-            let mut merged: Vec<Hit> = Vec::new();
-            for (lo, hi) in partition_ranges(self.overlay.num_docs, parts) {
-                merged.extend(self.scored_range(k, opts, avg_len, lo, hi, scratch));
-            }
-            merged.sort_by(hit_order);
-            merged.truncate(k);
-            merged
+            view.with_sig(query, scratch, |sig, s| {
+                merge_topk(
+                    ranges.into_iter().map(|r| view.kernel(sig, k, opts, r, s)),
+                    k,
+                )
+            })
         })
     }
 }
@@ -608,15 +441,9 @@ impl SearchService for SegmentedSearcher<'_> {
     }
 
     fn search_batch(&self, queries: &[String], k: usize) -> Vec<Vec<Hit>> {
-        // One snapshot for the whole batch (a mid-batch apply/merge must not
-        // split the batch across generations), served sequentially.
-        let gen = self.index.snapshot();
-        with_thread_scratch(|scratch| {
-            queries
-                .iter()
-                .map(|q| gen.search_with_scratch(q, k, self.opts, scratch))
-                .collect()
-        })
+        // One snapshot for the whole batch, served on one inline worker.
+        self.index
+            .search_batch(&ThreadPool::new(1), queries, k, self.opts)
     }
 }
 

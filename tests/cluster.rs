@@ -140,6 +140,44 @@ fn partition_layout_covers_every_doc_exactly_once() {
     }
 }
 
+/// Regression: one stream counts the same whether it is served one query at
+/// a time or as a batch — empty, stopword-only, unknown-term and `k = 0`
+/// requests included, cache counters too (w = 1, so the batch runs in
+/// stream order).
+#[test]
+fn single_and_batched_serving_count_the_same_stream_equally() {
+    let sys = build_system(4);
+    let stream: Vec<String> = ["honda civic", "", "the of and", "zzz", "honda civic"]
+        .iter()
+        .map(|s| s.to_string())
+        .collect();
+    let cfg = ClusterConfig {
+        partitions: 2,
+        replicas: 2,
+        workers: 1,
+        cache: Some(CacheConfig::with_capacity(8)),
+        max_in_flight: 0,
+    };
+    let single = sys.cluster(cfg);
+    for q in &stream {
+        single.search(q, 10);
+    }
+    single.search("honda civic", 0);
+    let batched = sys.cluster(cfg);
+    batched.search_batch(&stream, 10);
+    batched.search_batch(&["honda civic".to_string()], 0);
+    let stats = single.stats();
+    assert_eq!(stats, batched.stats());
+    assert_eq!(
+        stats.queries,
+        stream.len() as u64 + 1,
+        "every request counts"
+    );
+    assert_eq!(stats.routed.iter().sum::<u64>(), stats.queries);
+    let cache = stats.cache.expect("cache configured");
+    assert_eq!((cache.hits, cache.misses), (1, 1));
+}
+
 /// Replica routing is sticky (pure function of the signature) and the
 /// admission stream — routed/spilled/shed counts — is identical across runs.
 #[test]

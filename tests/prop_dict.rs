@@ -1,6 +1,6 @@
 //! Property tests for the interned term dictionary and the id-keyed postings
 //! layer (DESIGN.md §10/§12): `TermDict` intern/resolve round-trips, the
-//! `ShardedPostings` whole-dictionary view (`iter_terms`) is identical to a
+//! `Postings` whole-dictionary view (`iter_terms`) is identical to a
 //! straightforward string-keyed model of the same corpus — i.e. interning is
 //! invisible to every read path — and the parallel index build replays the
 //! sequential interning order for the annotation layer exactly like it does
@@ -8,7 +8,7 @@
 
 use deepweb::common::ids::DocId;
 use deepweb::common::{TermDict, ThreadPool, Url};
-use deepweb::index::{Annotation, BatchDoc, DocKind, Posting, SearchIndex, ShardedPostings};
+use deepweb::index::{Annotation, BatchDoc, DocKind, Posting, Postings, SearchIndex};
 use proptest::prelude::*;
 use std::collections::BTreeMap;
 
@@ -52,16 +52,15 @@ proptest! {
     /// `iter_terms` over the interned postings is identical — same term
     /// order, same postings — to a string-keyed model built from the same
     /// documents: interning changed the storage key, not any observable
-    /// output. Holds at any shard count (routing is virtual).
+    /// output.
     #[test]
     fn iter_terms_matches_string_model_pre_interning(
         docs in prop::collection::vec(
             prop::collection::vec("[a-z]{1,4}", 1..10),
             1..12,
         ),
-        shards in 1usize..10,
     ) {
-        let mut postings = ShardedPostings::new(shards);
+        let mut postings = Postings::new();
         // The pre-interning model: term -> sorted (doc, tf) list, exactly
         // what the old string-keyed layout stored, in the lexicographic
         // order the old merged iterator yielded.
@@ -89,7 +88,6 @@ proptest! {
             prop_assert_eq!(postings.postings(t), l);
             let id = postings.term_id(t).expect("indexed term must resolve");
             prop_assert_eq!(postings.postings_id(id), l);
-            prop_assert!(postings.shard_of_id(id) < postings.num_shards());
         }
     }
 

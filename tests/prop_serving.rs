@@ -1,13 +1,13 @@
 //! Property tests for concurrent serving: for random webworlds and random
-//! query batches, `search_batch` at any worker count returns identical
-//! `Vec<Hit>` to per-query sequential `search()` — with annotation-aware
-//! scoring as well as plain BM25 — and ranking is invariant under the
-//! postings' term-shard count.
+//! query batches, `search_batch` at any worker count and single queries
+//! through the cluster return identical `Vec<Hit>` to per-query sequential
+//! `search()` — with annotation-aware scoring as well as plain BM25 — and
+//! ranking is invariant under the cluster's partition count.
 
 use deepweb::common::{derive_rng, ThreadPool, Url};
 use deepweb::index::{
-    search, search_with_scratch, DocKind, Hit, QueryBroker, QueryScratch, SearchIndex,
-    SearchOptions,
+    search, search_with_scratch, ClusterConfig, ClusterServer, DocKind, Hit, QueryBroker,
+    QueryScratch, SearchIndex, SearchOptions,
 };
 use deepweb::queries::{generate_workload, WorkloadConfig};
 use deepweb::{quick_config, DeepWebSystem};
@@ -16,9 +16,10 @@ use proptest::prelude::*;
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(4))]
 
-    /// Random world, random Zipf batch: batched and scattered serving are
-    /// byte-identical to the sequential reference at w ∈ {1, 2, 4} — in
-    /// plain BM25 mode *and* with the interned annotation pass enabled.
+    /// Random world, random Zipf batch: batched serving at w ∈ {1, 2, 4} and
+    /// single cluster queries at p ∈ {1, 3, 4} are byte-identical to the
+    /// sequential reference — in plain BM25 mode *and* with the interned
+    /// annotation pass enabled.
     #[test]
     fn random_world_batches_serve_identically(
         seed in 1u64..10_000,
@@ -45,8 +46,12 @@ proptest! {
             for workers in [1usize, 2, 4] {
                 let broker = QueryBroker::new(&sys.index, ThreadPool::new(workers), opts);
                 prop_assert_eq!(&broker.search_batch(&batch, 10), &expected);
+            }
+            for partitions in [1usize, 3, 4] {
+                let cfg = ClusterConfig { partitions, cache: None, ..ClusterConfig::default() };
+                let cluster = ClusterServer::new(&sys.index, opts, cfg);
                 for (q, want) in batch.iter().zip(&expected) {
-                    prop_assert_eq!(&broker.search_scatter(q, 10), want);
+                    prop_assert_eq!(&cluster.search(q, 10), want);
                 }
             }
             // One reused scratch across the whole batch is byte-identical to
@@ -62,39 +67,36 @@ proptest! {
         }
     }
 
-    /// Random tiny corpora: ranking is invariant under the term-shard count
-    /// (the shard layout is a serving detail, never a ranking input).
+    /// Random tiny corpora: ranking is invariant under the cluster's
+    /// partition count (the doc-range layout is a serving detail, never a
+    /// ranking input) — including more partitions than docs, where most
+    /// partitions are empty.
     #[test]
-    fn ranking_is_shard_count_invariant(
+    fn ranking_is_partition_count_invariant(
         docs in prop::collection::vec(
             prop::collection::vec("[a-z]{1,5}", 1..8),
             1..15,
         ),
         query_words in prop::collection::vec("[a-z]{1,5}", 1..4),
-        shards in 1usize..12,
+        partitions in 1usize..13,
     ) {
-        let build = |shard_count: usize| {
-            let mut idx = SearchIndex::with_shards(shard_count);
-            for (i, words) in docs.iter().enumerate() {
-                idx.add(
-                    Url::new("w.sim", format!("/d{i}")),
-                    String::new(),
-                    words.join(" "),
-                    DocKind::Surface,
-                    None,
-                    vec![],
-                );
-            }
-            idx
-        };
-        let reference = build(1);
-        let sharded = build(shards);
+        let mut idx = SearchIndex::new();
+        for (i, words) in docs.iter().enumerate() {
+            idx.add(
+                Url::new("w.sim", format!("/d{i}")),
+                String::new(),
+                words.join(" "),
+                DocKind::Surface,
+                None,
+                vec![],
+            );
+        }
         let query = query_words.join(" ");
         let opts = SearchOptions::default();
-        let want = search(&reference, &query, 5, opts);
-        prop_assert_eq!(&search(&sharded, &query, 5, opts), &want);
-        // The scatter path agrees too, even when most shards are empty.
-        let broker = QueryBroker::new(&sharded, ThreadPool::new(2), opts);
-        prop_assert_eq!(&broker.search_scatter(&query, 5), &want);
+        let want = search(&idx, &query, 5, opts);
+        let cfg = ClusterConfig { partitions, cache: None, ..ClusterConfig::default() };
+        let cluster = ClusterServer::new(&idx, opts, cfg);
+        prop_assert_eq!(&cluster.search(&query, 5), &want);
+        prop_assert_eq!(&cluster.search_batch(std::slice::from_ref(&query), 5)[0], &want);
     }
 }

@@ -3,7 +3,7 @@
 //! The contract under test: [`PruningMode::BlockMax`] returns *byte-identical*
 //! `Vec<Hit>` to exhaustive scoring — for every query, every `k`, with and
 //! without the annotation pass, through every serving tier (sequential
-//! kernel, batched broker, scatter-gather, partitioned cluster) — and any
+//! kernel, batched broker, partitioned cluster single and batched) — and any
 //! index mutation invalidates the block index so pruned serving silently
 //! falls back to the exhaustive kernel rather than ever serving stale
 //! bounds.
@@ -75,8 +75,8 @@ fn pruned_dump_is_byte_identical_to_exhaustive() {
 }
 
 /// The same dump through every serving tier built with BlockMax options —
-/// broker batch, broker scatter, cluster fan-out (cache on and off) — must
-/// equal the exhaustive sequential reference.
+/// broker batch, cluster single queries and batches (cache on and off) —
+/// must equal the exhaustive sequential reference.
 #[test]
 fn pruned_dump_matches_across_all_serving_tiers() {
     let sys = build_system(8, true);
@@ -98,7 +98,7 @@ fn pruned_dump_matches_across_all_serving_tiers() {
         reference,
         "pruned sequential tier diverges"
     );
-    // Batched broker and per-query scatter at several worker counts.
+    // Batched broker at several worker counts.
     for workers in [1usize, 2, 4] {
         let broker = sys.broker(workers);
         assert_eq!(
@@ -106,11 +106,19 @@ fn pruned_dump_matches_across_all_serving_tiers() {
             reference,
             "pruned broker batch diverges at workers={workers}"
         );
+    }
+    // Single queries through the cluster, scanning partitions inline.
+    for partitions in [1usize, 3, 4] {
+        let cluster = sys.cluster(ClusterConfig {
+            partitions,
+            cache: None,
+            ..ClusterConfig::default()
+        });
         for (q, want) in queries.iter().zip(&reference).take(40) {
             assert_eq!(
-                &broker.search_scatter(q, k),
+                &cluster.search(q, k),
                 want,
-                "pruned scatter diverges at workers={workers} q={q:?}"
+                "pruned cluster single query diverges at partitions={partitions} q={q:?}"
             );
         }
     }

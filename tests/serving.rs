@@ -1,13 +1,13 @@
 //! Concurrent serving determinism and stress tests (DESIGN.md §9).
 //!
 //! The contract under test: every concurrent serving mode — batched fan-out
-//! and per-shard scatter-gather, at any worker count — returns byte-identical
-//! `Vec<Hit>` to the sequential `search()` reference, and one broker can be
-//! hammered from many OS threads without panics, lost queries, or unstable
-//! results.
+//! at any worker count, and single queries through the partitioned cluster —
+//! returns byte-identical `Vec<Hit>` to the sequential `search()` reference,
+//! and one broker can be hammered from many OS threads without panics, lost
+//! queries, or unstable results.
 
 use deepweb::common::derive_rng;
-use deepweb::index::{search_with_scratch, Hit, QueryScratch, SearchRequest};
+use deepweb::index::{search_with_scratch, ClusterConfig, Hit, QueryScratch, SearchRequest};
 use deepweb::queries::{generate_workload, WorkloadConfig};
 use deepweb::{quick_config, DeepWebSystem};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -47,16 +47,20 @@ fn search_batch_is_byte_identical_to_sequential_search() {
 }
 
 #[test]
-fn scatter_gather_is_byte_identical_to_sequential_search() {
+fn cluster_single_queries_are_byte_identical_to_sequential_search() {
     let sys = build_system(8);
     let batch = workload_batch(&sys, 120, 60, "serving-scatter");
-    for workers in [1, 2, 4] {
-        let broker = sys.broker(workers);
+    for partitions in [1, 3, 4] {
+        let cluster = sys.cluster(ClusterConfig {
+            partitions,
+            cache: None,
+            ..ClusterConfig::default()
+        });
         for q in &batch {
             assert_eq!(
-                broker.search_scatter(q, 10),
+                cluster.search(q, 10),
                 sys.search(q, 10),
-                "workers={workers} q={q:?}"
+                "partitions={partitions} q={q:?}"
             );
         }
     }
